@@ -2,6 +2,8 @@
 
 use std::time::{Duration, Instant};
 
+use xmlpub_obs::nearest_rank;
+
 /// Time a closure `reps` times and return the **minimum** duration (the
 /// least-noise estimator for CPU-bound single-threaded work).
 pub fn time_min<F: FnMut()>(mut f: F, reps: usize) -> Duration {
@@ -49,12 +51,10 @@ impl Percentiles {
         assert!(!samples.is_empty(), "percentiles need at least one sample");
         let mut sorted: Vec<Duration> = samples.to_vec();
         sorted.sort();
-        let rank = |p: f64| {
-            let n = sorted.len();
-            let idx = (p * n as f64).ceil() as usize;
-            sorted[idx.clamp(1, n) - 1]
-        };
-        Percentiles { median_ms: ms(rank(0.50)), p95_ms: ms(rank(0.95)) }
+        Percentiles {
+            median_ms: ms(nearest_rank(&sorted, 50.0)),
+            p95_ms: ms(nearest_rank(&sorted, 95.0)),
+        }
     }
 }
 

@@ -5,7 +5,8 @@
 //! extension — through the full parse → bind → optimize → execute stack,
 //! inspect plans before and after the §4 transformation rules, and
 //! publish XML views through the sorted-outer-union + constant-space
-//! tagger pipeline.
+//! tagger pipeline. Every request — here and in the server's sessions —
+//! runs through one [`Pipeline`].
 //!
 //! ```
 //! use xmlpub::Database;
@@ -22,8 +23,10 @@
 //! ```
 
 pub mod database;
+pub mod pipeline;
 
 pub use database::{Config, Database};
+pub use pipeline::{analyze_report, Answer, Pipeline, TaggedPlan};
 
 // Re-export the workspace layers under stable paths.
 pub use xmlpub_algebra as algebra;

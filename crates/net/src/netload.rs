@@ -25,7 +25,8 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use xmlpub_common::{Error, Result};
-use xmlpub_server::loadgen::{percentile, QueryStats};
+use xmlpub_obs::nearest_rank;
+use xmlpub_server::loadgen::QueryStats;
 use xmlpub_xml::workloads::figure8_workloads;
 
 use crate::client::{NetClient, RetryStats};
@@ -223,9 +224,9 @@ pub fn run_fig8_socket_load(addr: SocketAddr, options: NetLoadOptions) -> Result
             name: w.name,
             requests: samples.len() as u64,
             mean_us,
-            p50_us: percentile(&samples, 50.0),
-            p95_us: percentile(&samples, 95.0),
-            p99_us: percentile(&samples, 99.0),
+            p50_us: nearest_rank(&samples, 50.0) as f64,
+            p95_us: nearest_rank(&samples, 95.0) as f64,
+            p99_us: nearest_rank(&samples, 99.0) as f64,
         });
     }
 

@@ -22,6 +22,26 @@ fn bucket_of(us: u64) -> usize {
     ((u64::BITS - us.leading_zeros()) as usize).min(BUCKETS - 1)
 }
 
+/// The 1-based nearest rank of percentile `p` (0–100) among `n`
+/// samples: ⌈p/100 · n⌉, at least 1.
+fn nearest_rank_of(n: u64, p: f64) -> u64 {
+    ((p / 100.0) * n as f64).ceil().max(1.0) as u64
+}
+
+/// Nearest-rank percentile (`p` in 0–100) of an ascending-sorted
+/// sample: the smallest sample with at least `p` percent of the sample
+/// at or below it, with no interpolation. Zero (`T::default()`) when
+/// empty. The load harnesses and the bench harness all report with this
+/// one definition; [`HistogramSnapshot::percentile_us`] applies the
+/// same rank to bucketed counts.
+pub fn nearest_rank<T: Copy + Default>(sorted: &[T], p: f64) -> T {
+    let n = sorted.len() as u64;
+    if n == 0 {
+        return T::default();
+    }
+    sorted[(nearest_rank_of(n, p).min(n) - 1) as usize]
+}
+
 /// Inclusive upper bound of a bucket (used as the percentile estimate).
 fn bucket_upper(idx: usize) -> u64 {
     if idx == 0 {
@@ -142,7 +162,7 @@ impl HistogramSnapshot {
         if self.count == 0 {
             return 0;
         }
-        let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
+        let rank = nearest_rank_of(self.count, p);
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;

@@ -35,7 +35,7 @@ pub mod text;
 pub mod time;
 pub mod trace;
 
-pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
+pub use histogram::{nearest_rank, Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{Counter, Gauge, MetricsHandle, MetricsSnapshot, Registry};
 pub use text::{parse_text, render_text, TextEntry};
 pub use time::{saturating_ns_since, saturating_us_since};

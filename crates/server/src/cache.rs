@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use xmlpub::Config;
+use xmlpub::{Config, TaggedPlan};
 use xmlpub_algebra::LogicalPlan;
 use xmlpub_common::Result;
 use xmlpub_lint::{Diagnostic, LintRegistry};
@@ -91,6 +91,9 @@ pub struct CachedPlan {
     pub plan: LogicalPlan,
     /// The optimizer's rule-firing log from when the plan was built.
     pub firings: Vec<RuleFiring>,
+    /// Publish entries only: the plan as checked for the tagger when
+    /// the entry was built, so a cache hit tags without re-checking.
+    pub tagged: Option<TaggedPlan>,
 }
 
 impl CachedPlan {
@@ -222,6 +225,7 @@ mod tests {
                 schema: xmlpub_common::Schema::new(vec![]),
             },
             firings: Vec::new(),
+            tagged: None,
         }
     }
 

@@ -9,7 +9,8 @@
 //! splice unit:
 //!
 //! 1. the first publish runs the full SOU but records, per root key,
-//!    the byte range its subtree occupies ([`segment_rows`]);
+//!    the byte range its subtree occupies (the segmenting tagger,
+//!    [`segment_rows`]);
 //! 2. a republish asks the catalog for the [`DeltaBatch`]es applied
 //!    since the cached document was built, pushes them through the plan
 //!    ([`xmlpub_engine::dirty_keys`]) to find which root groups they can
@@ -37,54 +38,11 @@
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::ops::Range;
 
 use xmlpub_algebra::LogicalPlan;
-use xmlpub_common::{Error, Result, Tuple};
-use xmlpub_xml::souq::TagPlan;
-use xmlpub_xml::StreamingTagger;
+use xmlpub_common::Tuple;
 
-/// One root group's slice of the published document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Segment {
-    /// The root element's key values (in `root.key_columns` order).
-    pub key: Tuple,
-    /// Byte range of the group's subtree within [`SegmentedDoc::bytes`].
-    pub range: Range<usize>,
-    /// SOU rows tagged into this segment.
-    pub rows: u64,
-}
-
-/// A published document with per-root-group byte ranges: the skeleton
-/// an incremental republish splices into.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SegmentedDoc {
-    /// The complete document text (UTF-8).
-    pub bytes: Vec<u8>,
-    /// `bytes[..header_len]` is everything before the first root group
-    /// (the XML declaration and the open document element).
-    pub header_len: usize,
-    /// `bytes[footer_start..]` is everything after the last root group
-    /// (the document element's close tag).
-    pub footer_start: usize,
-    /// Root groups in stream order — which is root-key order, because
-    /// the SOU sorts by the root key first.
-    pub segments: Vec<Segment>,
-    /// Whether the document was tagged with pretty-printing.
-    pub pretty: bool,
-}
-
-impl SegmentedDoc {
-    /// Total SOU rows across all segments.
-    pub fn rows(&self) -> u64 {
-        self.segments.iter().map(|s| s.rows).sum()
-    }
-
-    /// The bytes of one segment.
-    pub fn segment_bytes(&self, seg: &Segment) -> &[u8] {
-        &self.bytes[seg.range.clone()]
-    }
-}
+pub use xmlpub_xml::{segment_rows, Segment, SegmentedDoc};
 
 /// Root-key order: the engine's total order over values, column by
 /// column. This is exactly the order `OrderBy` sorted the SOU by, so
@@ -97,51 +55,6 @@ pub fn cmp_keys(a: &Tuple, b: &Tuple) -> Ordering {
         }
     }
     a.len().cmp(&b.len())
-}
-
-/// Drive the key-clustered SOU stream through the tagger while
-/// recording, per root group, the byte range its subtree occupies.
-///
-/// The boundary protocol piggybacks on the tagger's own state machine:
-/// before tagging a root row we force-close every open element (the
-/// tagger would do exactly that anyway for a depth-0 row, so the bytes
-/// are unchanged) and read the sink position — that position is both
-/// the end of the previous group and the start of the next.
-pub fn segment_rows<'a, I>(rows: I, tag_plan: &TagPlan, pretty: bool) -> Result<SegmentedDoc>
-where
-    I: IntoIterator<Item = &'a Tuple>,
-{
-    let mut tagger = StreamingTagger::new(Vec::new(), tag_plan, pretty);
-    tagger.open_document()?;
-    let header_len = tagger.sink().len();
-    let mut segments: Vec<Segment> = Vec::new();
-    // (key, start offset, rows so far) of the group being tagged.
-    let mut current: Option<(Tuple, usize, u64)> = None;
-    for row in rows {
-        if tag_plan.is_root_row(row)? {
-            tagger.close_open_elements()?;
-            let pos = tagger.sink().len();
-            if let Some((key, start, rows)) = current.take() {
-                segments.push(Segment { key, range: start..pos, rows });
-            }
-            current = Some((tag_plan.root_key_of(row), pos, 0));
-        } else if current.is_none() {
-            return Err(Error::exec(
-                "sorted-outer-union stream starts with a non-root row; cannot segment",
-            ));
-        }
-        tagger.write_row(row)?;
-        if let Some(c) = current.as_mut() {
-            c.2 += 1;
-        }
-    }
-    tagger.close_open_elements()?;
-    let footer_start = tagger.sink().len();
-    if let Some((key, start, rows)) = current.take() {
-        segments.push(Segment { key, range: start..footer_start, rows });
-    }
-    let bytes = tagger.finish()?;
-    Ok(SegmentedDoc { bytes, header_len, footer_start, segments, pretty })
 }
 
 /// Splice `fresh` (the re-tagged dirty groups) into `cached`:

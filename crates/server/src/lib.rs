@@ -40,7 +40,7 @@ use xmlpub::{Config, Database, MetricsHandle};
 
 pub use cache::{cache_key, normalize_sql, CacheCounters, CachedPlan, PlanCache};
 pub use incremental::{segment_rows, splice, RepublishOutcome, Segment, SegmentedDoc};
-pub use loadgen::{percentile, run_fig8_load, ChurnSource, LoadOptions, LoadReport, QueryStats};
+pub use loadgen::{run_fig8_load, ChurnSource, LoadOptions, LoadReport, QueryStats};
 pub use pool::{PoolCounters, SHED_MSG};
 pub use session::{PublishedDoc, Session, DEFAULT_REPUBLISH_DIRTY_THRESHOLD};
 pub use slowlog::{SlowQuery, SlowQueryLog};

@@ -22,7 +22,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use xmlpub_common::{DeltaBatch, Error, Result, Tuple, Value};
-use xmlpub_obs::HistogramSnapshot;
+use xmlpub_obs::{nearest_rank, HistogramSnapshot};
 use xmlpub_xml::workloads::figure8_workloads;
 
 use crate::pool::SHED_MSG;
@@ -193,16 +193,6 @@ impl std::fmt::Display for LoadReport {
     }
 }
 
-/// Nearest-rank percentile over an ascending-sorted sample, `p` in 0–100.
-/// Shared with the socket load harness in `xmlpub-net`.
-pub fn percentile(sorted_us: &[u64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * p / 100.0).round() as usize;
-    sorted_us[idx] as f64
-}
-
 /// Pseudo-query name update-then-republish samples are reported under.
 const UPDATE_NAME: &str = "upd";
 
@@ -368,9 +358,9 @@ pub fn run_fig8_load(server: &Server, options: LoadOptions) -> Result<LoadReport
             name,
             requests: samples.len() as u64,
             mean_us,
-            p50_us: percentile(&samples, 50.0),
-            p95_us: percentile(&samples, 95.0),
-            p99_us: percentile(&samples, 99.0),
+            p50_us: nearest_rank(&samples, 50.0) as f64,
+            p95_us: nearest_rank(&samples, 95.0) as f64,
+            p99_us: nearest_rank(&samples, 99.0) as f64,
         }
     }
 
@@ -498,10 +488,10 @@ mod tests {
     #[test]
     fn percentiles_are_nearest_rank() {
         let samples: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&samples, 50.0), 51.0);
-        assert_eq!(percentile(&samples, 99.0), 99.0);
-        assert_eq!(percentile(&samples, 100.0), 100.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(percentile(&[7], 99.0), 7.0);
+        assert_eq!(nearest_rank(&samples, 50.0), 50);
+        assert_eq!(nearest_rank(&samples, 99.0), 99);
+        assert_eq!(nearest_rank(&samples, 100.0), 100);
+        assert_eq!(nearest_rank::<u64>(&[], 50.0), 0);
+        assert_eq!(nearest_rank(&[7u64], 99.0), 7);
     }
 }

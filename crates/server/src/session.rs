@@ -7,24 +7,22 @@
 //! prepared statements. Planning — parse, bind, optimize — happens on
 //! the *client* thread through the shared [`PlanCache`]; only execution
 //! is shipped to a worker, so a shed request costs no planning work and
-//! a cache hit skips planning entirely.
+//! a cache hit skips planning entirely. What runs there is the same
+//! [`Pipeline`] a [`Database`] request runs through — the session adds
+//! only its cache, the pool hop, prepared statements, the
+//! published-document cache and its request accounting.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
-use xmlpub::{Config, Database};
-use xmlpub_algebra::{validate, LogicalPlan};
+use xmlpub::{analyze_report, Answer, Config, Database, Pipeline, TaggedPlan};
+use xmlpub_algebra::LogicalPlan;
 use xmlpub_common::{Error, Relation, Result};
-use xmlpub_engine::{
-    dirty_keys, emit_operator_spans, execute_analyzed, execute_stream_with_obs, execute_with_stats,
-    render_profiles, ExecStats, ObsContext, TableDeltas,
-};
+use xmlpub_engine::{dirty_keys, ExecStats, ObsContext, TableDeltas};
 use xmlpub_obs::{saturating_us_since, MetricsHandle};
-use xmlpub_optimizer::{Optimizer, RuleFiring};
-use xmlpub_xml::souq::{sorted_outer_union, sorted_outer_union_for_keys};
+use xmlpub_xml::souq::{sorted_outer_union, sorted_outer_union_for_keys, SortedOuterUnion};
 use xmlpub_xml::view::XmlView;
-use xmlpub_xml::StreamingTagger;
 
 use crate::cache::{cache_key, CachedPlan};
 use crate::incremental::{self, RepublishOutcome, SegmentedDoc};
@@ -138,26 +136,28 @@ impl Session {
         &self.shared.db
     }
 
-    /// The engine config a worker will actually run with: the session's,
-    /// with `dop` clamped to the server-wide per-request cap so
+    /// The config a worker actually runs with: the session's, with
+    /// `engine.dop` clamped to the server-wide per-request cap so
     /// concurrent requests can't oversubscribe the machine no matter
-    /// what a session asks for. The session config itself is untouched.
-    fn engine_for_exec(&self) -> xmlpub::EngineConfig {
-        let mut engine = self.config.engine;
-        engine.dop = engine.dop.min(self.shared.dop_cap).max(1);
-        engine
+    /// what a session asks for. The session config itself is untouched,
+    /// and dop is not part of any plan-cache key.
+    fn exec_config(&self) -> Config {
+        let mut config = self.config;
+        config.engine.dop = config.engine.dop.min(self.shared.dop_cap).max(1);
+        config
     }
 
-    /// Optimize a bound plan under *this session's* config — sessions
-    /// may flip rule flags the server default doesn't have.
-    fn optimize_for_session(&self, plan: LogicalPlan) -> Result<(LogicalPlan, Vec<RuleFiring>)> {
-        if self.config.skip_optimizer {
-            return Ok((plan, Vec::new()));
-        }
-        let optimizer = Optimizer::new(self.config.optimizer, self.shared.db.statistics());
-        let (optimized, log) = optimizer.optimize(plan);
-        validate(&optimized)?;
-        Ok((optimized, log))
+    /// Ship one request to a pool worker, where it runs through the
+    /// shared [`Pipeline`] under this session's (dop-clamped) config and
+    /// the server's observability context.
+    fn run_request<T, F>(&self, work: F) -> Result<T>
+    where
+        T: Send + 'static,
+        F: FnOnce(&Pipeline<'_>) -> Result<T> + Send + 'static,
+    {
+        let config = self.exec_config();
+        let obs = self.exec_obs();
+        self.run_on_pool(move |shared| work(&shared.db.pipeline(config, obs)))
     }
 
     /// Plan through the shared cache. Returns the entry and whether it
@@ -165,9 +165,9 @@ impl Session {
     fn plan_cached(&self, sql: &str) -> Result<(Arc<CachedPlan>, bool)> {
         let key = cache_key(sql, &self.config);
         self.shared.cache.get_or_build(key.clone(), || {
-            let bound = self.shared.db.plan(sql)?;
-            let (plan, firings) = self.optimize_for_session(bound)?;
-            Ok(CachedPlan { key, plan, firings })
+            let planner = planner(&self.shared, self.config);
+            let (plan, firings) = planner.optimize(planner.plan(sql)?)?;
+            Ok(CachedPlan { key, plan, firings, tagged: None })
         })
     }
 
@@ -191,7 +191,8 @@ impl Session {
     /// was served for *this* request.
     pub fn execute(&self, sql: &str) -> Result<(Relation, ExecStats)> {
         let (plan, hit) = self.plan_cached(sql)?;
-        self.execute_cached(plan, hit, sql)
+        let (rel, stats, _) = self.execute_cached(plan, hit, sql, false)?;
+        Ok((rel, stats))
     }
 
     /// Execute a previously prepared statement. Planning was done at
@@ -201,42 +202,27 @@ impl Session {
             .prepared
             .get(name)
             .ok_or_else(|| Error::exec(format!("no prepared statement named {name:?}")))?;
-        self.execute_cached(Arc::clone(plan), true, &format!("prepared:{name}"))
+        let (rel, stats, _) =
+            self.execute_cached(Arc::clone(plan), true, &format!("prepared:{name}"), false)?;
+        Ok((rel, stats))
     }
 
+    /// Execute a cached plan on the pool, account for the request, and
+    /// stamp how its planning was served.
     fn execute_cached(
         &self,
         plan: Arc<CachedPlan>,
         hit: bool,
         label: &str,
-    ) -> Result<(Relation, ExecStats)> {
-        let engine = self.engine_for_exec();
-        let obs = self.exec_obs();
+        profile: bool,
+    ) -> Result<Answer> {
         let start = Instant::now();
-        let (rel, mut stats) = self.run_on_pool(move |shared| {
-            if !obs.tracer.enabled() {
-                return execute_with_stats(&plan.plan, shared.db.catalog(), &engine);
-            }
-            // Tracing implies per-operator profiling so `op:*` spans can
-            // be synthesized after the run.
-            let mut engine = engine;
-            engine.profile_ops = true;
-            let mut span = obs.tracer.span("query", obs.parent_span, &[]);
-            let stream = execute_stream_with_obs(
-                &plan.plan,
-                shared.db.catalog(),
-                &engine,
-                obs.under(span.id()),
-            )?;
-            let (rel, stats, profiles) = stream.materialize()?;
-            emit_operator_spans(&obs.tracer, span.id(), &profiles);
-            span.annotate("rows", &rel.rows().len().to_string());
-            Ok((rel, stats))
-        })?;
+        let (rel, mut stats, profiles) =
+            self.run_request(move |pipeline| pipeline.query(&plan.plan, profile))?;
         self.observe_request("query", label, saturating_us_since(start), rel.rows().len() as u64);
         stats.plan_cache_hits = u64::from(hit);
         stats.plan_cache_misses = u64::from(!hit);
-        Ok((rel, stats))
+        Ok((rel, stats, profiles))
     }
 
     /// `\explain --analyze` through the service: the optimized plan, the
@@ -244,23 +230,18 @@ impl Session {
     /// counters (plan cache, pool) the standalone engine can't know.
     pub fn execute_analyzed(&self, sql: &str) -> Result<(Relation, String)> {
         let (cached, hit) = self.plan_cached(sql)?;
-        let engine = self.engine_for_exec();
-        let worker_plan = Arc::clone(&cached);
-        let start = Instant::now();
-        let (rel, mut stats, profiles) = self.run_on_pool(move |shared| {
-            execute_analyzed(&worker_plan.plan, shared.db.catalog(), &engine)
-        })?;
-        self.observe_request("query", sql, saturating_us_since(start), rel.rows().len() as u64);
-        stats.plan_cache_hits = u64::from(hit);
-        stats.plan_cache_misses = u64::from(!hit);
-        let mut out = String::from("== optimized plan ==\n");
-        out.push_str(&cached.plan.explain());
-        out.push_str("\n== operators (analyze) ==\n");
-        out.push_str(&render_profiles(&profiles));
-        out.push_str(&format!(
-            "\n== engine counters ==\n  batch size {}\n  dop {} (session {}, server cap {})\n  {stats:?}\n",
-            engine.batch_size, engine.dop, self.config.engine.dop, self.shared.dop_cap
-        ));
+        let (rel, stats, profiles) = self.execute_cached(Arc::clone(&cached), hit, sql, true)?;
+        let engine = self.exec_config().engine;
+        let mut out = analyze_report(
+            &cached.plan,
+            &profiles,
+            &stats,
+            &engine,
+            &format!(
+                "  dop {} (session {}, server cap {})\n",
+                engine.dop, self.config.engine.dop, self.shared.dop_cap
+            ),
+        );
         let cache = self.shared.cache.counters();
         let pool = self.pool.counters();
         out.push_str(&format!(
@@ -312,44 +293,10 @@ impl Session {
         W: std::io::Write + Send + 'static,
     {
         let sou = sorted_outer_union(view)?;
-        // "\u{1}publish" cannot collide with any normalized SQL key, and
-        // the explain text pins the exact bound plan (tables, join
-        // columns, projected fields).
-        let key = format!(
-            "\u{1}publish\u{1f}{}\u{1f}{:?}\u{1f}{}",
-            sou.plan.explain(),
-            self.config.optimizer,
-            self.config.skip_optimizer
-        );
-        let (cached, hit) = self.shared.cache.get_or_build(key.clone(), || {
-            let (plan, firings) = self.optimize_for_session(sou.plan.clone())?;
-            Ok(CachedPlan { key, plan, firings })
-        })?;
-        let engine = self.engine_for_exec();
-        let tag_plan = sou.tag_plan;
-        let obs = self.exec_obs();
+        let (cached, hit) = publish_plan_cached(&self.shared, self.config, &sou)?;
         let start = Instant::now();
-        let (sink, rows, mut stats) = self.run_on_pool(move |shared| {
-            let mut span = obs.tracer.span("publish", obs.parent_span, &[]);
-            let mut stream = execute_stream_with_obs(
-                &cached.plan,
-                shared.db.catalog(),
-                &engine,
-                obs.under(span.id()),
-            )?;
-            let mut tagger = StreamingTagger::new(sink, &tag_plan, pretty);
-            let mut rows = 0u64;
-            while let Some(batch) = stream.next_batch()? {
-                for row in batch.rows() {
-                    tagger.write_row(row)?;
-                }
-                rows += batch.rows().len() as u64;
-            }
-            let stats = stream.stats().clone();
-            let sink = tagger.finish()?;
-            span.annotate("rows", &rows.to_string());
-            Ok((sink, rows, stats))
-        })?;
+        let (sink, rows, mut stats) =
+            self.run_request(move |pipeline| pipeline.publish(tagged(&cached), pretty, sink))?;
         self.observe_request("publish", "publish", saturating_us_since(start), rows);
         stats.plan_cache_hits = u64::from(hit);
         stats.plan_cache_misses = u64::from(!hit);
@@ -403,24 +350,24 @@ impl Session {
         let doc_key = published_doc_key(&sou.plan, pretty);
         let tables: Vec<String> = incremental::scan_tables(&sou.plan).into_iter().collect();
         let cached = self.published.get(&doc_key).cloned();
-        let engine = self.engine_for_exec();
         let threshold = self.republish_threshold;
-        let config = self.config;
+        let config = self.exec_config();
         let obs = self.exec_obs();
         let worker_view = view.clone();
         let start = Instant::now();
         let worked = self.run_on_pool(move |shared| {
             let mut span = obs.tracer.span("republish", obs.parent_span, &[]);
-            let out = republish_on_worker(
+            let pipeline = shared.db.pipeline(config, obs.under(span.id()));
+            let republish = Republish {
                 shared,
-                &worker_view,
+                pipeline: &pipeline,
+                config,
+                view: &worker_view,
+                sou,
                 pretty,
-                cached,
-                &tables,
-                threshold,
-                &config,
-                &engine,
-            )?;
+                tables: &tables,
+            };
+            let out = republish.run(cached, threshold)?;
             if let WorkerOutcome::Built { doc, outcome, .. } = &out {
                 span.annotate("rows", &doc.rows().to_string());
                 span.annotate("outcome", &outcome.to_string());
@@ -488,6 +435,41 @@ impl Session {
     }
 }
 
+/// The pipeline sessions plan through: the session's config, no
+/// observation — planning happens once per cache entry, and a session's
+/// accounting is `server.*`/`session.*`, not the optimizer's metrics.
+fn planner(shared: &ServerShared, config: Config) -> Pipeline<'_> {
+    shared.db.pipeline(config, ObsContext::disabled())
+}
+
+/// The checked plan of a publish cache entry.
+fn tagged(entry: &CachedPlan) -> &TaggedPlan {
+    entry.tagged.as_ref().expect("publish cache entries are built by publish_plan_cached")
+}
+
+/// Plan a view's sorted outer union through the shared cache. A miss
+/// optimizes and runs the tagger-safety check once; every hit reuses
+/// the checked plan. `publish` and the full republish stage share
+/// entries. "\u{1}publish" cannot collide with any normalized SQL key,
+/// and the explain text pins the exact bound plan (tables, join
+/// columns, projected fields).
+fn publish_plan_cached(
+    shared: &ServerShared,
+    config: Config,
+    sou: &SortedOuterUnion,
+) -> Result<(Arc<CachedPlan>, bool)> {
+    let key = format!(
+        "\u{1}publish\u{1f}{}\u{1f}{:?}\u{1f}{}",
+        sou.plan.explain(),
+        config.optimizer,
+        config.skip_optimizer
+    );
+    shared.cache.get_or_build(key.clone(), || {
+        let (tagged, firings) = planner(shared, config).publish_plan(sou.clone())?;
+        Ok(CachedPlan { key, plan: tagged.plan().clone(), firings, tagged: Some(tagged) })
+    })
+}
+
 /// Cache key for a published document. `\u{2}doc` cannot collide with
 /// SQL keys or `\u{1}publish` plan keys; the explain text pins the
 /// bound plan and `pretty` changes the bytes, so it is part of the key.
@@ -495,114 +477,96 @@ fn published_doc_key(plan: &LogicalPlan, pretty: bool) -> String {
     format!("\u{2}doc\u{1f}{}\u{1f}{pretty}", plan.explain())
 }
 
-/// Optimize a plan on a worker under a session's config (the worker
-/// cannot borrow the session, so this mirrors
-/// [`Session::optimize_for_session`] against the shared state).
-fn optimize_on_worker(
-    shared: &ServerShared,
-    config: &Config,
-    plan: LogicalPlan,
-) -> Result<LogicalPlan> {
-    if config.skip_optimizer {
-        return Ok(plan);
-    }
-    let optimizer = Optimizer::new(config.optimizer, shared.db.statistics());
-    let (optimized, _log) = optimizer.optimize(plan);
-    validate(&optimized)?;
-    Ok(optimized)
+/// One republish request on a pool worker. See [`Session::republish`]
+/// for the policy; [`Republish::run`] implements it: capture versions →
+/// collect deltas → propagate to dirty root keys → threshold check →
+/// restricted re-tag → splice — with a full segmented recompute at
+/// every exit where incremental maintenance is unavailable.
+struct Republish<'a> {
+    shared: &'a ServerShared,
+    /// Executes both stages, under the `republish` span.
+    pipeline: &'a Pipeline<'a>,
+    /// The session's config (dop clamped), for planning.
+    config: Config,
+    view: &'a XmlView,
+    sou: SortedOuterUnion,
+    pretty: bool,
+    tables: &'a [String],
 }
 
-/// The republish decision procedure, run on a pool worker. See
-/// [`Session::republish`] for the policy; this function implements it:
-/// capture versions → collect deltas → propagate to dirty root keys →
-/// threshold check → restricted re-tag → splice — with a full
-/// segmented recompute at every exit where incremental maintenance is
-/// unavailable.
-#[allow(clippy::too_many_arguments)]
-fn republish_on_worker(
-    shared: &ServerShared,
-    view: &XmlView,
-    pretty: bool,
-    cached: Option<PublishedDoc>,
-    tables: &[String],
-    threshold: f64,
-    config: &Config,
-    engine: &xmlpub::EngineConfig,
-) -> Result<WorkerOutcome> {
-    let catalog = shared.db.catalog();
-    // Capture versions BEFORE reading any data: a concurrent writer can
-    // only make the recorded baseline older than the rows the build
-    // sees, so the next republish re-propagates a delta this document
-    // already absorbed — conservative, never a missed update.
-    let mut versions = BTreeMap::new();
-    for t in tables {
-        versions.insert(t.clone(), catalog.version(t)?);
-    }
+impl Republish<'_> {
+    fn run(&self, cached: Option<PublishedDoc>, threshold: f64) -> Result<WorkerOutcome> {
+        let catalog = self.shared.db.catalog();
+        // Capture versions BEFORE reading any data: a concurrent writer
+        // can only make the recorded baseline older than the rows the
+        // build sees, so the next republish re-propagates a delta this
+        // document already absorbed — conservative, never a missed
+        // update.
+        let mut versions = BTreeMap::new();
+        for t in self.tables {
+            versions.insert(t.clone(), catalog.version(t)?);
+        }
 
-    let full = |reason: &'static str| -> Result<WorkerOutcome> {
-        let sou = sorted_outer_union(view)?;
-        let plan = optimize_on_worker(shared, config, sou.plan)?;
-        let (rel, _stats) = execute_with_stats(&plan, catalog, engine)?;
-        let doc = incremental::segment_rows(rel.rows(), &sou.tag_plan, pretty)?;
-        Ok(WorkerOutcome::Built {
-            doc,
-            versions: versions.clone(),
-            outcome: RepublishOutcome::Full { reason },
-        })
-    };
-
-    let Some(prev) = cached else {
-        return full("first-publish");
-    };
-    let mut deltas = TableDeltas::new();
-    for t in tables {
-        let since = prev.versions.get(t).copied().unwrap_or(0);
-        match catalog.deltas_since(t, since)? {
-            // The bounded log no longer reaches back to the baseline.
-            None => return full("delta-log-trimmed"),
-            Some(batches) => {
-                for batch in batches {
-                    deltas.add(t, batch);
+        let Some(prev) = cached else {
+            return self.full(versions, "first-publish");
+        };
+        let mut deltas = TableDeltas::new();
+        for t in self.tables {
+            let since = prev.versions.get(t).copied().unwrap_or(0);
+            match catalog.deltas_since(t, since)? {
+                // The bounded log no longer reaches back to the baseline.
+                None => return self.full(versions, "delta-log-trimmed"),
+                Some(batches) => {
+                    for batch in batches {
+                        deltas.add(t, batch);
+                    }
                 }
             }
         }
-    }
-    if deltas.is_empty() {
-        return Ok(WorkerOutcome::Clean { versions });
+        if deltas.is_empty() {
+            return Ok(WorkerOutcome::Clean { versions });
+        }
+
+        let sou = &self.sou;
+        let root_keys = sou.tag_plan.root_key_cols();
+        let dirty = match dirty_keys(&sou.plan, root_keys, catalog, &self.config.engine, &deltas) {
+            Ok(Some(keys)) => keys,
+            // Plan shape the propagator doesn't handle (or propagation
+            // failed): recompute rather than guess.
+            Ok(None) | Err(_) => return self.full(versions, "unsupported-plan"),
+        };
+        if dirty.is_empty() {
+            // Deltas exist but touch no output row (e.g. filtered out);
+            // the document is unchanged — just advance the baseline.
+            return Ok(WorkerOutcome::Clean { versions });
+        }
+        let total_groups = prev.doc.segments.len().max(1);
+        if dirty.len() as f64 / total_groups as f64 > threshold {
+            return self.full(versions, "dirty-fraction");
+        }
+
+        // The incremental path proper: re-tag only the dirty groups
+        // through the key-restricted SOU (planned and checked per
+        // request, deliberately NOT plan-cached — the key list churns
+        // every republish), then splice.
+        let restricted = sorted_outer_union_for_keys(self.view, &dirty)?;
+        let (plan, _) = planner(self.shared, self.config).publish_plan(restricted)?;
+        let fresh = self.pipeline.publish_segmented(&plan, self.pretty)?;
+        let doc = incremental::splice(&prev.doc, &dirty, &fresh);
+        let spliced_groups = doc.segments.len() - fresh.segments.len();
+        Ok(WorkerOutcome::Built {
+            doc,
+            versions,
+            outcome: RepublishOutcome::Incremental { dirty_groups: dirty.len(), spliced_groups },
+        })
     }
 
-    let sou = sorted_outer_union(view)?;
-    let dirty = match dirty_keys(&sou.plan, sou.tag_plan.root_key_cols(), catalog, engine, &deltas)
-    {
-        Ok(Some(keys)) => keys,
-        // Plan shape the propagator doesn't handle (or propagation
-        // failed): recompute rather than guess.
-        Ok(None) | Err(_) => return full("unsupported-plan"),
-    };
-    if dirty.is_empty() {
-        // Deltas exist but touch no output row (e.g. filtered out);
-        // the document is unchanged — just advance the baseline.
-        return Ok(WorkerOutcome::Clean { versions });
+    /// Full segmented recompute through the publish plan-cache entry.
+    fn full(&self, versions: BTreeMap<String, u64>, reason: &'static str) -> Result<WorkerOutcome> {
+        let (entry, _) = publish_plan_cached(self.shared, self.config, &self.sou)?;
+        let doc = self.pipeline.publish_segmented(tagged(&entry), self.pretty)?;
+        Ok(WorkerOutcome::Built { doc, versions, outcome: RepublishOutcome::Full { reason } })
     }
-    let total_groups = prev.doc.segments.len().max(1);
-    if dirty.len() as f64 / total_groups as f64 > threshold {
-        return full("dirty-fraction");
-    }
-
-    // The incremental path proper: re-tag only the dirty groups through
-    // the key-restricted SOU (optimized per request, deliberately NOT
-    // plan-cached — the key list churns every republish), then splice.
-    let restricted = sorted_outer_union_for_keys(view, &dirty)?;
-    let plan = optimize_on_worker(shared, config, restricted.plan)?;
-    let (rel, _stats) = execute_with_stats(&plan, catalog, engine)?;
-    let fresh = incremental::segment_rows(rel.rows(), &restricted.tag_plan, pretty)?;
-    let doc = incremental::splice(&prev.doc, &dirty, &fresh);
-    let spliced_groups = doc.segments.len() - fresh.segments.len();
-    Ok(WorkerOutcome::Built {
-        doc,
-        versions,
-        outcome: RepublishOutcome::Incremental { dirty_groups: dirty.len(), spliced_groups },
-    })
 }
 
 #[cfg(test)]
@@ -894,6 +858,33 @@ mod tests {
         let (out, outcome) = session.republish(&view, false).unwrap();
         assert_eq!(outcome, RepublishOutcome::Full { reason: "dirty-fraction" });
         assert_eq!(out, server.database().publish(&view, false).unwrap());
+    }
+
+    /// The full republish stage runs on the plan-cache entry `publish`
+    /// built (no second optimizer run), and stays exact.
+    #[test]
+    fn fallback_republish_reuses_the_publish_plan() {
+        let server = server();
+        let mut session = server.session();
+        session.set_republish_threshold(0.0);
+        let view = supplier_parts_view(server.database().catalog()).unwrap();
+        session.publish(&view, false).unwrap();
+        let after_publish = server.stats().cache;
+
+        let (first, outcome) = session.republish(&view, false).unwrap();
+        assert_eq!(outcome, RepublishOutcome::Full { reason: "first-publish" });
+        assert_eq!(first, server.database().publish(&view, false).unwrap());
+        let ps = server.database().catalog().data("partsupp").unwrap();
+        let victim = ps.rows()[0].clone();
+        server.database().apply_delta("partsupp", &DeltaBatch::deletes(vec![victim])).unwrap();
+        let (out, outcome) = session.republish(&view, false).unwrap();
+        assert_eq!(outcome, RepublishOutcome::Full { reason: "dirty-fraction" });
+        assert_eq!(out, server.database().publish(&view, false).unwrap());
+
+        // Both full recomputes hit the entry; nothing new was planned.
+        let cache = server.stats().cache;
+        assert_eq!(cache.hits, after_publish.hits + 2);
+        assert_eq!(cache.misses, after_publish.misses);
     }
 
     /// Overrun the bounded delta log between republishes: the session

@@ -27,5 +27,5 @@ pub mod workloads;
 pub mod xquery;
 
 pub use souq::{sorted_outer_union, sorted_outer_union_for_keys};
-pub use tagger::{tag, StreamingTagger};
+pub use tagger::{segment_rows, tag, Segment, SegmentedDoc, StreamingTagger};
 pub use view::{customer_orders_view, supplier_parts_view, FieldKind, FieldMap, ViewNode, XmlView};

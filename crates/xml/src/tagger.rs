@@ -12,10 +12,70 @@
 //! document is on the wire before the query has finished executing).
 //! [`tag`] is the convenience wrapper that collects the document into a
 //! `String` for tests and the CLI.
+//!
+//! A *segmenting* tagger ([`StreamingTagger::segmenting`]) also records
+//! the byte range of every root group's subtree — the splice unit of an
+//! incremental republish. The stream is clustered by the root key, so
+//! each root group is one contiguous run of rows and of bytes.
 
 use crate::souq::{branch_id, TagPlan};
 use std::io::Write;
+use std::ops::Range;
 use xmlpub_common::{Error, Result, Tuple, Value};
+
+/// One root group's slice of the published document.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Segment {
+    /// The root element's key values (in `root.key_columns` order).
+    pub key: Tuple,
+    /// Byte range of the group's subtree within [`SegmentedDoc::bytes`].
+    pub range: Range<usize>,
+    /// SOU rows tagged into this segment.
+    pub rows: u64,
+}
+
+/// A published document with per-root-group byte ranges: the skeleton
+/// an incremental republish splices into.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SegmentedDoc {
+    /// The complete document text (UTF-8).
+    pub bytes: Vec<u8>,
+    /// `bytes[..header_len]` is everything before the first root group
+    /// (the open document element).
+    pub header_len: usize,
+    /// `bytes[footer_start..]` is everything after the last root group
+    /// (the document element's close tag).
+    pub footer_start: usize,
+    /// Root groups in stream order — which is root-key order, because
+    /// the SOU sorts by the root key first.
+    pub segments: Vec<Segment>,
+    /// Whether the document was tagged with pretty-printing.
+    pub pretty: bool,
+}
+
+impl SegmentedDoc {
+    /// Total SOU rows across all segments.
+    pub fn rows(&self) -> u64 {
+        self.segments.iter().map(|s| s.rows).sum()
+    }
+
+    /// The bytes of one segment.
+    pub fn segment_bytes(&self, seg: &Segment) -> &[u8] {
+        &self.bytes[seg.range.clone()]
+    }
+}
+
+/// Tag a key-clustered SOU row sequence into a [`SegmentedDoc`].
+pub fn segment_rows<'a, I>(rows: I, tag_plan: &TagPlan, pretty: bool) -> Result<SegmentedDoc>
+where
+    I: IntoIterator<Item = &'a Tuple>,
+{
+    let mut tagger = StreamingTagger::segmenting(tag_plan, pretty)?;
+    for row in rows {
+        tagger.write_row(row)?;
+    }
+    tagger.finish_segmented()
+}
 
 /// Escape text content / attribute values.
 fn escape(s: &str, out: &mut String) {
@@ -31,9 +91,27 @@ fn escape(s: &str, out: &mut String) {
     }
 }
 
+/// The tagger's sink plus the number of bytes written to it.
+struct Out<W> {
+    sink: W,
+    written: usize,
+}
+
 /// Write a string to the sink, mapping IO failures to [`Error::Xml`].
-fn wr<W: Write>(out: &mut W, s: &str) -> Result<()> {
-    out.write_all(s.as_bytes()).map_err(|e| Error::Xml(format!("tagger sink write failed: {e}")))
+fn wr<W: Write>(out: &mut Out<W>, s: &str) -> Result<()> {
+    out.sink
+        .write_all(s.as_bytes())
+        .map_err(|e| Error::Xml(format!("tagger sink write failed: {e}")))?;
+    out.written += s.len();
+    Ok(())
+}
+
+/// Segment bookkeeping of a segmenting tagger: the header length, the
+/// finished root groups, and the open one as (key, start, rows so far).
+struct Segments {
+    header_len: usize,
+    done: Vec<Segment>,
+    open: Option<(Tuple, usize, u64)>,
 }
 
 /// One open element on the tagger stack.
@@ -51,13 +129,15 @@ struct Open {
 /// open-element stack plus one small escape buffer — independent of the
 /// document size.
 pub struct StreamingTagger<'p, W: Write> {
-    out: W,
+    out: Out<W>,
     tag_plan: &'p TagPlan,
     pretty: bool,
     stack: Vec<Open>,
     started: bool,
     /// Scratch buffer for escaping, reused across rows.
     buf: String,
+    /// Present on a segmenting tagger.
+    segments: Option<Segments>,
 }
 
 impl<'p, W: Write> StreamingTagger<'p, W> {
@@ -65,12 +145,13 @@ impl<'p, W: Write> StreamingTagger<'p, W> {
     /// [`finish`](Self::finish), which emits an empty document).
     pub fn new(out: W, tag_plan: &'p TagPlan, pretty: bool) -> Self {
         StreamingTagger {
-            out,
+            out: Out { sink: out, written: 0 },
             tag_plan,
             pretty,
             stack: Vec::new(),
             started: false,
             buf: String::new(),
+            segments: None,
         }
     }
 
@@ -110,9 +191,20 @@ impl<'p, W: Write> StreamingTagger<'p, W> {
         self.nl()
     }
 
+    /// Close every open element, leaving the document element open.
+    fn close_all(&mut self) -> Result<()> {
+        while !self.stack.is_empty() {
+            self.close_one()?;
+        }
+        Ok(())
+    }
+
     /// Emit one sorted-outer-union row: closes finished elements, checks
     /// clustering, opens this row's element and writes its fields.
     pub fn write_row(&mut self, row: &Tuple) -> Result<()> {
+        if self.segments.is_some() {
+            self.mark_segment(row)?;
+        }
         self.start_document()?;
         let tag_plan = self.tag_plan;
         let b = branch_id(row, tag_plan)?;
@@ -191,29 +283,32 @@ impl<'p, W: Write> StreamingTagger<'p, W> {
         Ok(())
     }
 
-    /// Force the document element open now (a no-op once anything has
-    /// been written). The incremental re-tagger calls this before the
-    /// first row so the *header* bytes (everything up to the first root
-    /// element) are delimited in the sink.
-    pub fn open_document(&mut self) -> Result<()> {
-        self.start_document()
-    }
-
-    /// Close every currently open element, leaving the document element
-    /// open. After this the sink sits exactly on a subtree boundary —
-    /// the incremental re-tagger calls it before recording each root
-    /// segment's byte range and before cutting the footer.
-    pub fn close_open_elements(&mut self) -> Result<()> {
-        while !self.stack.is_empty() {
-            self.close_one()?;
+    /// Segment bookkeeping for `row`. A root row first force-closes
+    /// every open element (the tagger would do exactly that for a
+    /// depth-0 row, so the bytes are unchanged); the sink position there
+    /// is both the end of the previous group and the start of this one.
+    fn mark_segment(&mut self, row: &Tuple) -> Result<()> {
+        let root = self.tag_plan.is_root_row(row)?;
+        if root {
+            self.close_all()?;
+        }
+        let pos = self.out.written;
+        let seg = self.segments.as_mut().expect("segmenting tagger");
+        if root {
+            if let Some((key, start, rows)) = seg.open.take() {
+                seg.done.push(Segment { key, range: start..pos, rows });
+            }
+            seg.open = Some((self.tag_plan.root_key_of(row), pos, 0));
+        }
+        match &mut seg.open {
+            Some((_, _, rows)) => *rows += 1,
+            None => {
+                return Err(Error::exec(
+                    "sorted-outer-union stream starts with a non-root row; cannot segment",
+                ))
+            }
         }
         Ok(())
-    }
-
-    /// Borrow the sink (e.g. to read the current length of an in-memory
-    /// buffer when recording segment boundaries).
-    pub fn sink(&self) -> &W {
-        &self.out
     }
 
     /// Close every open element and the document element, flush, and
@@ -221,15 +316,46 @@ impl<'p, W: Write> StreamingTagger<'p, W> {
     /// (dropping the tagger without `finish` truncates the output).
     pub fn finish(mut self) -> Result<W> {
         self.start_document()?; // an empty stream still yields <doc></doc>
-        while !self.stack.is_empty() {
-            self.close_one()?;
-        }
+        self.close_all()?;
         wr(&mut self.out, "</")?;
         wr(&mut self.out, &self.tag_plan.document_element)?;
         wr(&mut self.out, ">")?;
         self.nl()?;
-        self.out.flush().map_err(|e| Error::Xml(format!("tagger sink flush failed: {e}")))?;
-        Ok(self.out)
+        self.out.sink.flush().map_err(|e| Error::Xml(format!("tagger sink flush failed: {e}")))?;
+        Ok(self.out.sink)
+    }
+}
+
+impl<'p> StreamingTagger<'p, Vec<u8>> {
+    /// An in-memory tagger that also records every root group's byte
+    /// range. The document element is opened up front so the header is
+    /// delimited even when the stream is empty.
+    pub fn segmenting(tag_plan: &'p TagPlan, pretty: bool) -> Result<Self> {
+        let mut tagger = StreamingTagger::new(Vec::new(), tag_plan, pretty);
+        tagger.start_document()?;
+        let header_len = tagger.out.written;
+        tagger.segments = Some(Segments { header_len, done: Vec::new(), open: None });
+        Ok(tagger)
+    }
+
+    /// Close the last group and the document, returning the segmented
+    /// bytes. Panics on a tagger not built by
+    /// [`StreamingTagger::segmenting`].
+    pub fn finish_segmented(mut self) -> Result<SegmentedDoc> {
+        let mut seg = self.segments.take().expect("finish_segmented on a plain tagger");
+        self.close_all()?;
+        let footer_start = self.out.written;
+        if let Some((key, start, rows)) = seg.open.take() {
+            seg.done.push(Segment { key, range: start..footer_start, rows });
+        }
+        let pretty = self.pretty;
+        Ok(SegmentedDoc {
+            bytes: self.finish()?,
+            header_len: seg.header_len,
+            footer_start,
+            segments: seg.done,
+            pretty,
+        })
     }
 }
 
