@@ -10,10 +10,13 @@
 //!    skew knob of the generator stresses that assumption.
 //! 4. **Apply memoization** — how much of the classic plans' viability
 //!    comes from the correlated-subquery spool.
+//! 5. **Batch size** — tuple-at-a-time (`batch_size = 1`) vs the default
+//!    batch target on the Figure 8 gapply plans.
+//! 6. **GApply dop** — the Figure 8 gapply plans at dop 1, 2 and 4.
 
 use crate::harness::{ms, time_min};
 use xmlpub::xml::workloads;
-use xmlpub::{Database, OptimizerConfig, PartitionStrategy, Result};
+use xmlpub::{Database, OptimizerConfig, PartitionStrategy, Result, DEFAULT_BATCH_SIZE};
 use xmlpub_tpch::{TpchConfig, TpchGenerator};
 
 /// Hash vs sort partitioning across the Figure 8 workloads.
@@ -46,6 +49,65 @@ pub fn partitioning(scale: f64, reps: usize) -> Result<String> {
         ));
     }
     Ok(out)
+}
+
+/// Time each Figure 8 gapply plan under each engine setting `set`
+/// applies, one column per setting, plus the last setting's time over
+/// the first's.
+fn fig8_sweep<K: Copy>(
+    title: &str,
+    columns: &[(&str, K)],
+    set: impl Fn(&mut Database, K),
+    scale: f64,
+    reps: usize,
+) -> Result<String> {
+    let mut out = format!("{title}\n\n{:<4}", "Q");
+    for (label, _) in columns {
+        out.push_str(&format!(" {:>10}", format!("{label} ms")));
+    }
+    let ratio = format!("{}/{}", columns[columns.len() - 1].0, columns[0].0);
+    out.push_str(&format!(" {ratio:>13}\n"));
+    let mut db = Database::tpch(scale)?;
+    for w in workloads::figure8_workloads() {
+        let (plan, _) = db.optimized_plan(&w.gapply_sql)?;
+        out.push_str(&format!("{:<4}", w.name));
+        let mut times = Vec::new();
+        for &(_, k) in columns {
+            set(&mut db, k);
+            let t = ms(time_min(
+                || {
+                    db.execute_plan(&plan).expect("fig8 sweep");
+                },
+                reps,
+            ));
+            out.push_str(&format!(" {t:>10.2}"));
+            times.push(t);
+        }
+        out.push_str(&format!(" {:>13.2}\n", times[times.len() - 1] / times[0]));
+    }
+    Ok(out)
+}
+
+/// Tuple-at-a-time vs the default batch size on the Figure 8 gapply plans.
+pub fn batch_size(scale: f64, reps: usize) -> Result<String> {
+    fig8_sweep(
+        "Ablation — batch size (gapply formulations)",
+        &[("tuple", 1), ("batched", DEFAULT_BATCH_SIZE)],
+        |db, n| db.config_mut().engine.batch_size = n,
+        scale,
+        reps,
+    )
+}
+
+/// Serial vs parallel GApply on the Figure 8 gapply plans.
+pub fn dop(scale: f64, reps: usize) -> Result<String> {
+    fig8_sweep(
+        "Ablation — GApply dop (gapply formulations)",
+        &[("dop1", 1), ("dop2", 2), ("dop4", 4)],
+        |db, n| db.config_mut().engine.dop = n,
+        scale,
+        reps,
+    )
 }
 
 /// Cost-gated vs always-fired group selection across the exists sweep.
@@ -171,6 +233,14 @@ mod tests {
         assert!(s.contains("0.0"), "{s}");
         let m = apply_memo(0.0005, 1).unwrap();
         assert!(m.contains("memo on"), "{m}");
+    }
+
+    #[test]
+    fn batch_size_and_dop_ablations_run_at_tiny_scale() {
+        let b = batch_size(0.0005, 1).unwrap();
+        assert!(b.contains("tuple ms") && b.contains("Q4r"), "{b}");
+        let d = dop(0.0005, 1).unwrap();
+        assert!(d.contains("dop4 ms") && d.contains("Q1"), "{d}");
     }
 
     #[test]

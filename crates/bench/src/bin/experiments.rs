@@ -111,5 +111,7 @@ fn main() {
         println!("{}", ablation::cost_gate(args.scale, args.reps).expect("cost gate"));
         println!("{}", ablation::skew(args.scale, args.reps).expect("skew"));
         println!("{}", ablation::apply_memo(args.scale, args.reps).expect("memoization"));
+        println!("{}", ablation::batch_size(args.scale, args.reps).expect("batch size"));
+        println!("{}", ablation::dop(args.scale, args.reps).expect("dop"));
     }
 }

@@ -47,11 +47,11 @@
 //!   \drain [secs]   gracefully shut the listener down: stop accepting,
 //!                   finish in-flight requests, GOODBYE + FIN, bounded
 //!                   by the deadline (default 10s)
-//!   \workload [clients [iters]] [--cold] [--update-mix R]
-//!                   run the Figure 8 closed-loop load harness against
-//!                   the running server (--cold: skip prepared warmup;
-//!                   --update-mix: fraction of requests that become
-//!                   update-then-republish write operations)
+//!   \workload [clients [requests]] [--cold] [--update-mix R]
+//!                   run the Figure 8 load driver closed loop against
+//!                   the running server, `requests` in total (--cold:
+//!                   skip prepared warmup; --update-mix: updates per
+//!                   completed request, each a rename then republish)
 //!   \server-stats   plan-cache and worker-pool counters
 //!   \metrics        server metrics exposition (counters, gauges,
 //!                   latency histograms) in the v1 text format —
@@ -74,8 +74,8 @@ use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::Duration;
 use xmlpub::{Database, PartitionStrategy};
-use xmlpub_net::{NetClient, NetConfig, NetServer, Reply};
-use xmlpub_server::{run_fig8_load, LoadOptions, Server, ServerConfig};
+use xmlpub_net::{run_fig8, LoadOptions, NetClient, NetConfig, NetServer, Reply, Target};
+use xmlpub_server::{Server, ServerConfig};
 
 /// The shell's state: a directly-owned database for ad-hoc SQL plus an
 /// optional running server (which owns its own copy — the TPC-H
@@ -512,18 +512,15 @@ fn meta_command(cmd: &str, shell: &mut Shell) -> bool {
         "\\workload" => match &shell.server {
             None => eprintln!("no server running; start one with \\serve"),
             Some(server) => {
-                let mut clients = 4usize;
-                let mut iters = 20usize;
-                let mut warm = true;
-                let mut update_mix = 0.0f64;
+                let mut options = LoadOptions::default();
                 let mut positional = 0;
                 let mut parts = rest.split_whitespace();
                 while let Some(part) = parts.next() {
                     if part == "--cold" {
-                        warm = false;
+                        options.warm = false;
                     } else if part == "--update-mix" {
                         match parts.next().and_then(|v| v.parse::<f64>().ok()) {
-                            Some(r) => update_mix = r.clamp(0.0, 1.0),
+                            Some(r) => options.update_mix = r.clamp(0.0, 1.0),
                             None => {
                                 eprintln!("--update-mix needs a fraction in 0..1");
                                 return true;
@@ -531,16 +528,16 @@ fn meta_command(cmd: &str, shell: &mut Shell) -> bool {
                         }
                     } else if let Ok(n) = part.parse::<usize>() {
                         match positional {
-                            0 => clients = n.max(1),
-                            _ => iters = n.max(1),
+                            0 => options.clients = n.max(1),
+                            _ => options.requests = n.max(1),
                         }
                         positional += 1;
                     } else {
-                        eprintln!("\\workload [clients [iters]] [--cold] [--update-mix R]");
+                        eprintln!("\\workload [clients [requests]] [--cold] [--update-mix R]");
                         return true;
                     }
                 }
-                match run_fig8_load(server, LoadOptions { clients, iters, warm, update_mix }) {
+                match run_fig8(Target::InProcess(server), options) {
                     Ok(report) => {
                         println!("{report}");
                         println!("{}", server.stats());

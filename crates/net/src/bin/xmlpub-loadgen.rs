@@ -1,12 +1,12 @@
-//! `xmlpub-loadgen` — headless load harness and concurrent smoke test,
-//! in-process or over TCP.
+//! `xmlpub-loadgen` — headless load driver and concurrent smoke test,
+//! in process or over TCP.
 //!
 //! ```text
-//! # in-process closed loop (the PR-3 harness):
+//! # in process, closed loop:
 //! cargo run --release -p xmlpub-net --bin xmlpub-loadgen -- \
-//!     --scale 0.005 --workers 8 --clients 8 --iters 20 [--cold] [--verify]
+//!     --scale 0.005 --workers 8 --clients 8 --requests 400 [--cold] [--verify]
 //!
-//! # open loop over a socket (spawns its own TCP server on `auto`):
+//! # open loop over a socket (hosts its own TCP server on `auto`):
 //! cargo run --release -p xmlpub-net --bin xmlpub-loadgen -- \
 //!     --connect auto --workers 2 --dop 2 --clients 4 --requests 200 \
 //!     --rate 200 [--verify]
@@ -16,416 +16,156 @@
 //!     --connect 127.0.0.1:7878 --clients 4 --requests 200 --rate 200
 //! ```
 //!
-//! `--update-mix R` adds writes: in-process, a fraction `R` of each
-//! client's requests become update-then-republish operations through
-//! the delta-maintained document path; in socket mode (`--connect
-//! auto` only — the wire protocol has no update verb) a writer thread
-//! churns the hosted server at `rate * R` updates/s while the query
-//! load runs, and `--verify` then also checks the final document is
-//! byte-identical to a full recompute.
+//! Every target runs the same driver (`xmlpub_net::load`): `--requests`
+//! is the total across clients, `--rate R` makes it an open loop at `R`
+//! requests/s (closed loop without it), latency runs from each request's
+//! due time, and `--dop` sets the hosted server's per-request GApply
+//! dop. `--update-mix R` adds a writer thread making `R` updates per
+//! completed request (rename a supplier, republish the Figure 1 view);
+//! it mutates the server in this process, so over a socket it needs
+//! `--connect auto`.
 //!
-//! `--verify` is the differential mode CI runs: every socket answer must
-//! be identical to a serial in-process execution over the same
-//! (deterministic) TPC-H data — relations for the five Figure 8
-//! queries, *byte-identical XML* for the published views — and the
-//! metrics exposition must parse back and account for every request.
-//! With `--connect auto` the run also drains the server it spawned and
-//! exits non-zero unless the drain was clean (no aborted connections,
-//! no lingering server threads past the deadline).
+//! `--verify` is the differential mode CI runs: every answer must match
+//! serial execution over the same (deterministic) TPC-H data — relations
+//! for the five Figure 8 queries, byte-identical XML for `supplier_parts`
+//! compact and pretty — and, for a server in this process, the metrics
+//! exposition must parse back and account for every request, and after
+//! an update mix a final incremental republish must equal a full
+//! recompute. With `--connect auto` the run also drains the server it
+//! hosts and exits non-zero unless the drain was clean.
 
+use std::net::SocketAddr;
+use std::process::exit;
 use std::sync::Arc;
 use std::time::Duration;
 
 use xmlpub::Database;
-use xmlpub_net::{
-    resolve_view, run_fig8_socket_load, NetClient, NetConfig, NetLoadOptions, NetServer,
-};
-use xmlpub_server::{run_fig8_load, ChurnSource, LoadOptions, Server, ServerConfig, SHED_MSG};
-use xmlpub_xml::workloads::figure8_workloads;
+use xmlpub_net::load::{verify_fig8, verify_metrics, verify_republish};
+use xmlpub_net::{run_fig8, LoadOptions, NetConfig, NetServer, Target};
+use xmlpub_server::{Server, ServerConfig};
+
+const USAGE: &str = "usage: xmlpub-loadgen [--scale F] [--workers N] [--queue-depth N] \
+                     [--dop N] [--clients N] [--requests N] [--rate R] [--update-mix R] \
+                     [--cold] [--verify] [--connect ADDR|auto]";
 
 fn num_arg<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, what: &str) -> T {
     args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
         eprintln!("{what} needs a number");
-        std::process::exit(2);
+        exit(2);
+    })
+}
+
+/// Print `what: error` and exit 1 when a check failed.
+fn check<T>(what: &str, result: xmlpub_common::Result<T>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{what}: {e}");
+        exit(1);
     })
 }
 
 fn main() {
     let mut scale = 0.005f64;
     let mut workers = 4usize;
-    let mut clients = 4usize;
-    let mut iters = 20usize;
     let mut queue_depth = 64usize;
-    let mut warm = true;
+    let mut dop = 1usize;
+    let mut options = LoadOptions::default();
     let mut verify = false;
     let mut connect: Option<String> = None;
-    let mut requests = 200usize;
-    let mut rate = 200.0f64;
-    let mut dop = 1usize;
-    let mut update_mix = 0.0f64;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => scale = num_arg(&mut args, "--scale"),
             "--workers" => workers = num_arg(&mut args, "--workers"),
-            "--clients" => clients = num_arg(&mut args, "--clients"),
-            "--iters" => iters = num_arg(&mut args, "--iters"),
             "--queue-depth" => queue_depth = num_arg(&mut args, "--queue-depth"),
-            "--requests" => requests = num_arg(&mut args, "--requests"),
-            "--rate" => rate = num_arg(&mut args, "--rate"),
-            "--dop" => dop = num_arg(&mut args, "--dop"),
+            "--dop" => dop = num_arg::<usize>(&mut args, "--dop").max(1),
+            "--clients" => options.clients = num_arg(&mut args, "--clients"),
+            "--requests" => options.requests = num_arg(&mut args, "--requests"),
+            "--rate" => options.rate = Some(num_arg(&mut args, "--rate")),
             "--update-mix" => {
-                update_mix = num_arg::<f64>(&mut args, "--update-mix").clamp(0.0, 1.0)
+                options.update_mix = num_arg::<f64>(&mut args, "--update-mix").clamp(0.0, 1.0)
             }
+            "--cold" => options.warm = false,
+            "--verify" => verify = true,
             "--connect" => {
                 connect = Some(args.next().unwrap_or_else(|| {
                     eprintln!("--connect needs an address (or 'auto')");
-                    std::process::exit(2);
+                    exit(2);
                 }))
             }
-            "--cold" => warm = false,
-            "--verify" => verify = true,
             other => {
-                eprintln!(
-                    "unknown argument '{other}'\nusage: xmlpub-loadgen [--scale F] [--workers N] \
-                     [--clients N] [--iters N] [--queue-depth N] [--cold] [--verify] \
-                     [--connect ADDR|auto] [--requests N] [--rate R] [--dop N] [--update-mix R]"
-                );
-                std::process::exit(2);
+                eprintln!("unknown argument '{other}'\n{USAGE}");
+                exit(2);
             }
         }
     }
 
-    match connect {
-        Some(target) => socket_mode(
-            &target,
-            scale,
-            workers,
-            queue_depth,
-            dop,
-            clients,
-            requests,
-            rate,
-            warm,
-            verify,
-            update_mix,
-        ),
-        None => {
-            in_process_mode(scale, workers, queue_depth, clients, iters, warm, verify, update_mix)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Socket mode: open-loop load (and differential verify) over TCP.
-
-#[allow(clippy::too_many_arguments)]
-fn socket_mode(
-    target: &str,
-    scale: f64,
-    workers: usize,
-    queue_depth: usize,
-    dop: usize,
-    clients: usize,
-    requests: usize,
-    rate: f64,
-    warm: bool,
-    verify: bool,
-    update_mix: f64,
-) {
-    // `auto`: host the server ourselves on an ephemeral localhost port —
-    // the single-command shape the CI net-smoke job runs.
-    let hosted = if target == "auto" {
+    // The target: a server in this process (in-process or `auto`), or a
+    // remote address.
+    let remote: Option<SocketAddr> = match connect.as_deref() {
+        None | Some("auto") => None,
+        Some(addr) => Some(addr.parse().unwrap_or_else(|_| {
+            eprintln!("--connect: '{addr}' is not a socket address");
+            exit(2);
+        })),
+    };
+    let server = remote.is_none().then(|| {
         eprintln!("generating TPC-H at scale {scale}...");
         let db = Database::tpch(scale).expect("generate TPC-H");
         let mut defaults = db.config();
-        defaults.engine.dop = dop.max(1);
-        let server = Arc::new(Server::new(
+        defaults.engine.dop = dop;
+        Arc::new(Server::new(
             db,
             ServerConfig { workers, queue_depth, defaults, ..ServerConfig::default() },
-        ));
+        ))
+    });
+    let net = server.as_ref().filter(|_| connect.is_some()).map(|server| {
         let net =
-            NetServer::start(Arc::clone(&server), NetConfig::default()).expect("start TCP server");
+            NetServer::start(Arc::clone(server), NetConfig::default()).expect("start TCP server");
         eprintln!(
-            "serving on {} ({} workers, dop {}, queue depth {queue_depth})",
-            net.local_addr(),
-            workers,
-            dop.max(1)
+            "serving on {} ({workers} workers, dop {dop}, queue depth {queue_depth})",
+            net.local_addr()
         );
-        Some((server, net))
-    } else {
-        None
-    };
-    let addr = match &hosted {
-        Some((_, net)) => net.local_addr(),
-        None => target.parse().unwrap_or_else(|_| {
-            eprintln!("--connect: '{target}' is not a socket address");
-            std::process::exit(2);
-        }),
+        net
+    });
+    let target = match (remote, &net, server.as_deref()) {
+        (Some(addr), _, _) => Target::Socket { addr, host: None },
+        (None, Some(net), host) => Target::Socket { addr: net.local_addr(), host },
+        (None, None, Some(server)) => Target::InProcess(server),
+        (None, None, None) => unreachable!("no remote address implies a hosted server"),
     };
 
     if verify {
-        verify_socket_differential(addr, scale);
+        eprintln!("verifying answers against serial execution...");
+        let reference = Database::tpch(scale).expect("generate TPC-H");
+        check("DIVERGENCE", verify_fig8(target, &reference));
+        eprintln!("verify ok: 5 workloads + publish (compact & pretty) match serial execution");
     }
 
-    // `--update-mix` in socket mode: a writer thread churns the hosted
-    // server's database and republishes the Figure 1 view while the
-    // open-loop query load runs over TCP. The wire protocol has no
-    // update verb, so this only works for the server we host ourselves.
-    if update_mix > 0.0 && hosted.is_none() {
-        eprintln!("--update-mix needs --connect auto (the writer mutates the hosted server)");
-        std::process::exit(2);
-    }
-    let writer = hosted.as_ref().filter(|_| update_mix > 0.0).map(|(server, _)| {
-        let server = Arc::clone(server);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        // Offered write rate rides the query rate: `rate * update_mix`
-        // updates per second, each followed by a republish.
-        let interval = Duration::from_secs_f64(1.0 / (rate * update_mix).max(1.0));
-        let handle = std::thread::spawn(move || -> Result<(u64, u64), String> {
-            let churn = ChurnSource::default();
-            let view = resolve_view(server.database(), "supplier_parts")
-                .map_err(|e| format!("resolve view: {e}"))?;
-            let mut session = server.session();
-            session.republish(&view, false).map_err(|e| format!("warm republish: {e}"))?;
-            let (mut updates, mut incremental) = (0u64, 0u64);
-            while !stop_flag.load(std::sync::atomic::Ordering::Relaxed) {
-                churn.mutate_one(&server).map_err(|e| format!("update: {e}"))?;
-                match session.republish(&view, false) {
-                    Ok((_, outcome)) => {
-                        updates += 1;
-                        if outcome.is_incremental() {
-                            incremental += 1;
-                        }
-                    }
-                    // Shed under load: the delta stays queued for the
-                    // next round trip, nothing is lost.
-                    Err(e) if e.to_string().contains(SHED_MSG) => {}
-                    Err(e) => return Err(format!("republish: {e}")),
-                }
-                std::thread::sleep(interval);
-            }
-            Ok((updates, incremental))
-        });
-        (stop, handle)
-    });
+    let report = check("load run failed", run_fig8(target, options));
+    println!("{report}");
 
-    let options = NetLoadOptions { clients, requests, rate_per_sec: rate, warm };
-    match run_fig8_socket_load(addr, options) {
-        Ok(report) => println!("{report}"),
-        Err(e) => {
-            eprintln!("socket load run failed: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if let Some((stop, handle)) = writer {
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        match handle.join().expect("writer thread panicked") {
-            Ok((updates, incremental)) => {
-                let (server, _) = hosted.as_ref().expect("writer implies hosted");
-                println!("writer: {updates} update+republish ops, {incremental} incremental");
-                if verify {
-                    verify_republish_differential(server, updates, incremental);
-                }
-            }
-            Err(e) => {
-                eprintln!("WRITER: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if let Some((server, net)) = hosted {
-        if verify {
-            verify_metrics(&server, requests as u64);
-        }
+    if let Some(server) = &server {
         println!("{}", server.stats());
         print!("{}", server.metrics_text());
-        let report = net.drain(Duration::from_secs(10));
-        if !report.drained || report.aborted > 0 {
-            eprintln!("DRAIN: not clean: {report:?}");
-            std::process::exit(1);
+        if verify {
+            check("METRICS", verify_metrics(server, &report));
+            eprintln!("metrics ok: every request accounted for in the exposition");
+            if options.update_mix > 0.0 {
+                check("REPUBLISH", verify_republish(server, &report));
+                eprintln!(
+                    "republish ok: {} updates under load ({} incremental), final document \
+                     byte-identical to full recompute",
+                    report.updates, report.incremental_republishes
+                );
+            }
+        }
+    }
+    if let Some(net) = net {
+        let drain = net.drain(Duration::from_secs(10));
+        if !drain.drained || drain.aborted > 0 {
+            eprintln!("DRAIN: not clean: {drain:?}");
+            exit(1);
         }
         eprintln!("drain ok: all connections closed gracefully");
-    }
-}
-
-/// The CI differential: socket answers must be identical to serial
-/// in-process execution over the same deterministic data — relations
-/// for the Figure 8 queries, byte-identical XML for the published views.
-fn verify_socket_differential(addr: std::net::SocketAddr, scale: f64) {
-    eprintln!("verifying socket answers against in-process execution...");
-    let local = Database::tpch(scale).expect("generate TPC-H");
-    let reference =
-        Server::new(Database::tpch(scale).expect("generate TPC-H"), ServerConfig::default());
-    let session = reference.session();
-    let mut client = NetClient::connect(addr).expect("connect for verify");
-    for w in figure8_workloads() {
-        let expected = local.sql(&w.gapply_sql).expect("serial execution");
-        let (got, _) = client
-            .sql(&w.gapply_sql)
-            .expect("socket execution")
-            .expect_done()
-            .expect("verify run shed");
-        if got != expected {
-            eprintln!("DIVERGENCE on {}: socket result differs from in-process", w.name);
-            std::process::exit(1);
-        }
-    }
-    for pretty in [false, true] {
-        let view = resolve_view(&local, "supplier_parts").expect("resolve view");
-        let expected = session.publish(&view, pretty).expect("in-process publish");
-        let (got, rows, stats) = client
-            .publish("supplier_parts", pretty)
-            .expect("socket publish")
-            .expect_done()
-            .expect("verify publish shed");
-        if stats.rows_scanned == 0 {
-            eprintln!("publish(pretty={pretty}) End frame carried empty engine counters");
-            std::process::exit(1);
-        }
-        if got != expected {
-            eprintln!("DIVERGENCE on publish(pretty={pretty}): socket XML differs byte-for-byte");
-            std::process::exit(1);
-        }
-        if rows == 0 {
-            eprintln!("publish(pretty={pretty}) reported zero rows");
-            std::process::exit(1);
-        }
-    }
-    client.goodbye().expect("goodbye");
-    eprintln!(
-        "verify ok: {} workloads + publish (compact & pretty) byte-identical over TCP",
-        figure8_workloads().len()
-    );
-}
-
-/// After a writer run: churn once more, then a warmed incremental
-/// session and a threshold-0 full-recompute session must produce
-/// byte-identical documents over the same final data — the delta-
-/// maintained document differential, under whatever state the
-/// concurrent run left behind.
-fn verify_republish_differential(server: &Server, updates: u64, incremental: u64) {
-    if updates == 0 {
-        eprintln!("WRITER: no updates completed; raise --rate or --update-mix");
-        std::process::exit(1);
-    }
-    let view = resolve_view(server.database(), "supplier_parts").expect("resolve view");
-    let mut incr = server.session();
-    incr.republish(&view, false).expect("warm incremental session");
-    let churn = ChurnSource::default();
-    churn.mutate_one(server).expect("final churn");
-    let (incr_doc, outcome) = incr.republish(&view, false).expect("incremental republish");
-    if !outcome.is_incremental() {
-        eprintln!("WRITER: final republish fell back ({outcome}); expected the incremental path");
-        std::process::exit(1);
-    }
-    let mut full = server.session();
-    full.set_republish_threshold(0.0);
-    let (full_doc, _) = full.republish(&view, false).expect("full republish");
-    if incr_doc != full_doc {
-        eprintln!("DIVERGENCE: incremental republish differs byte-for-byte from full recompute");
-        std::process::exit(1);
-    }
-    eprintln!(
-        "republish ok: {updates} update+republish ops under load ({incremental} incremental), \
-         final document byte-identical to full recompute"
-    );
-}
-
-/// Metrics smoke for the hosted server: the exposition must parse and
-/// the net layer must have accounted for the traffic.
-fn verify_metrics(server: &Server, min_requests: u64) {
-    let text = server.metrics_text();
-    let snap = match xmlpub::parse_text(&text) {
-        Ok(snap) => snap,
-        Err(e) => {
-            eprintln!("METRICS: exposition does not parse: {e}");
-            std::process::exit(1);
-        }
-    };
-    let net_requests = snap.counter("server.net.requests").unwrap_or(0);
-    let frames_out = snap.counter("server.net.frames_out").unwrap_or(0);
-    let opened = snap.counter("server.net.connections.opened").unwrap_or(0);
-    if net_requests < min_requests || frames_out == 0 || opened == 0 {
-        eprintln!(
-            "METRICS: net layer unaccounted: requests {net_requests} (expected >= \
-             {min_requests}), frames_out {frames_out}, connections.opened {opened}"
-        );
-        std::process::exit(1);
-    }
-    eprintln!("metrics ok: {net_requests} net requests, {opened} connections in the exposition");
-}
-
-// ---------------------------------------------------------------------
-// In-process mode: the original closed-loop harness, unchanged behaviour.
-
-#[allow(clippy::too_many_arguments)]
-fn in_process_mode(
-    scale: f64,
-    workers: usize,
-    queue_depth: usize,
-    clients: usize,
-    iters: usize,
-    warm: bool,
-    verify: bool,
-    update_mix: f64,
-) {
-    eprintln!("generating TPC-H at scale {scale}...");
-    let db = Database::tpch(scale).expect("generate TPC-H");
-    let server = Server::new(db, ServerConfig { workers, queue_depth, ..ServerConfig::default() });
-
-    if verify {
-        // Differential check: each workload's concurrent answer must be
-        // identical to a serial execution against the same data.
-        eprintln!("verifying concurrent answers against serial execution...");
-        let serial = Database::tpch(scale).expect("generate TPC-H");
-        let session = server.session();
-        for w in figure8_workloads() {
-            let expected = serial.sql(&w.gapply_sql).expect("serial execution");
-            let (got, _) = session.execute(&w.gapply_sql).expect("server execution");
-            if got != expected {
-                eprintln!("DIVERGENCE on {}: concurrent result differs from serial", w.name);
-                std::process::exit(1);
-            }
-        }
-        eprintln!("verify ok: all {} workloads match serial", figure8_workloads().len());
-    }
-
-    match run_fig8_load(&server, LoadOptions { clients, iters, warm, update_mix }) {
-        Ok(report) => {
-            println!("{report}");
-            println!("{}", server.stats());
-            let text = server.metrics_text();
-            println!("{text}");
-            if verify {
-                // Metrics smoke: the exposition must be non-empty,
-                // parse back, and account for every completed request.
-                let snap = match xmlpub::parse_text(&text) {
-                    Ok(snap) => snap,
-                    Err(e) => {
-                        eprintln!("METRICS: exposition does not parse: {e}");
-                        std::process::exit(1);
-                    }
-                };
-                let queries = snap.counter("server.query.count").unwrap_or(0);
-                let hist = snap.histogram("server.query_us").map(|h| h.count).unwrap_or(0);
-                if queries < report.total_requests || hist != queries {
-                    eprintln!(
-                        "METRICS: registry lost requests: counter {queries}, histogram {hist}, \
-                         load report {}",
-                        report.total_requests
-                    );
-                    std::process::exit(1);
-                }
-                eprintln!("metrics ok: {queries} requests accounted for in the exposition");
-            }
-        }
-        Err(e) => {
-            eprintln!("load run failed: {e}");
-            std::process::exit(1);
-        }
     }
 }

@@ -38,11 +38,18 @@ impl<T> Reply<T> {
             Reply::Busy(msg) => Err(Error::exec(format!("server busy: {msg}"))),
         }
     }
+
+    /// Map the `Done` value.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Reply<U> {
+        match self {
+            Reply::Done(v) => Reply::Done(f(v)),
+            Reply::Busy(msg) => Reply::Busy(msg),
+        }
+    }
 }
 
-/// Retry bookkeeping for BUSY answers, kept separate from service
-/// times: a shed request costs a retry and a backoff sleep, never a
-/// latency sample.
+/// Retry bookkeeping for shed requests: how many were retried and how
+/// long their backoff slept.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RetryStats {
     /// BUSY answers received (each one retried).
@@ -56,6 +63,27 @@ impl RetryStats {
     pub fn merge(&mut self, other: &RetryStats) {
         self.busy_retries += other.busy_retries;
         self.backoff += other.backoff;
+    }
+}
+
+/// Retry `op` until it is not shed, with a backoff of 10 µs doubling to
+/// 1 ms, counting each retry and the time slept in `retries`.
+pub(crate) fn retry_busy<T>(
+    retries: &mut RetryStats,
+    mut op: impl FnMut() -> Result<Reply<T>>,
+) -> Result<T> {
+    let mut backoff = Duration::from_micros(10);
+    loop {
+        match op()? {
+            Reply::Done(v) => return Ok(v),
+            Reply::Busy(_) => {
+                retries.busy_retries += 1;
+                let slept = Instant::now();
+                std::thread::sleep(backoff);
+                retries.backoff += slept.elapsed();
+                backoff = (backoff * 2).min(Duration::from_millis(1));
+            }
+        }
     }
 }
 
@@ -140,27 +168,15 @@ impl NetClient {
         }
     }
 
-    /// Retry `op` until it is not shed, with capped exponential backoff,
-    /// folding the retry cost into `retries` (never into the caller's
-    /// service-time clock — re-time the successful attempt yourself).
+    /// Retry `op` on this connection until it is not shed, with a backoff
+    /// of 10 µs doubling to 1 ms, counting each retry and the time slept
+    /// in `retries`.
     pub fn retry_busy<T>(
         &mut self,
         retries: &mut RetryStats,
         mut op: impl FnMut(&mut NetClient) -> Result<Reply<T>>,
     ) -> Result<T> {
-        let mut backoff = Duration::from_micros(10);
-        loop {
-            match op(self)? {
-                Reply::Done(v) => return Ok(v),
-                Reply::Busy(_) => {
-                    retries.busy_retries += 1;
-                    let slept = Instant::now();
-                    std::thread::sleep(backoff);
-                    retries.backoff += slept.elapsed();
-                    backoff = (backoff * 2).min(Duration::from_millis(1));
-                }
-            }
-        }
+        retry_busy(retries, || op(self))
     }
 
     /// Say goodbye and wait for the server's goodbye + FIN.

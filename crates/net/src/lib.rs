@@ -18,13 +18,12 @@
 //!   [`NetServer::drain`] shuts down gracefully: stop accepting, finish
 //!   in-flight work, GOODBYE + FIN, bounded by a deadline.
 //! - [`client`] — [`NetClient`]: a small blocking client used by the
-//!   CLI's `--connect` mode, the load harness, and the differential
+//!   CLI's `--connect` mode, the load driver, and the differential
 //!   tests that pin socket output byte-identical to in-process results.
-//! - [`netload`] — the open-loop socket load harness: multi-threaded
-//!   clients issuing Figure 8 requests at a *fixed arrival rate*
-//!   (arrivals don't slow down when the server does, unlike the
-//!   closed-loop in-process harness), reporting p50/p95/p99 service
-//!   times with BUSY retries and backoff accounted separately.
+//! - [`load`] — the Figure 8 load driver, over in-process sessions or
+//!   TCP connections, closed loop or open loop at a fixed arrival rate,
+//!   reporting p50/p95/p99 latency from each request's due time with
+//!   shed/BUSY retries and their backoff counted alongside.
 //!
 //! Net-layer traffic is observable as `server.net.*` counters in the
 //! server's own metrics registry, so `\metrics` and the text exposition
@@ -32,7 +31,7 @@
 
 pub mod client;
 pub mod frame;
-pub mod netload;
+pub mod load;
 pub mod server;
 
 pub use client::{NetClient, Reply, RetryStats};
@@ -40,7 +39,7 @@ pub use frame::{
     encode_request, encode_response, Frame, FrameDecoder, ProtocolError, Request, Response,
     MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
-pub use netload::{run_fig8_socket_load, NetLoadOptions, NetLoadReport};
+pub use load::{run_fig8, LoadOptions, LoadReport, Target};
 pub use server::{resolve_view, DrainReport, NetConfig, NetServer};
 
 #[cfg(doc)]

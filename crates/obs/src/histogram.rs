@@ -31,7 +31,7 @@ fn nearest_rank_of(n: u64, p: f64) -> u64 {
 /// Nearest-rank percentile (`p` in 0–100) of an ascending-sorted
 /// sample: the smallest sample with at least `p` percent of the sample
 /// at or below it, with no interpolation. Zero (`T::default()`) when
-/// empty. The load harnesses and the bench harness all report with this
+/// empty. The load driver and the bench harness both report with this
 /// one definition; [`HistogramSnapshot::percentile_us`] applies the
 /// same rank to bucketed counts.
 pub fn nearest_rank<T: Copy + Default>(sorted: &[T], p: f64) -> T {
@@ -177,6 +177,16 @@ impl HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentiles_are_nearest_rank() {
+        let samples: Vec<u64> = (1..=100).collect();
+        assert_eq!(nearest_rank(&samples, 50.0), 50);
+        assert_eq!(nearest_rank(&samples, 99.0), 99);
+        assert_eq!(nearest_rank(&samples, 100.0), 100);
+        assert_eq!(nearest_rank::<u64>(&[], 50.0), 0);
+        assert_eq!(nearest_rank(&[7u64], 99.0), 7);
+    }
 
     #[test]
     fn bucket_boundaries() {

@@ -16,10 +16,11 @@
 //!   catalog;
 //! * the shared [`PlanCache`] memoizes optimized plans across sessions,
 //!   keyed by normalized SQL plus the plan-relevant config, keeping each
-//!   plan's rule-firing audit so cached plans stay lint-verifiable;
-//! * [`loadgen`] is the closed-loop harness that replays the paper's
-//!   Figure 8 workloads from many client threads and reports throughput
-//!   and latency percentiles.
+//!   plan's rule-firing audit so cached plans stay lint-verifiable.
+//!
+//! The Figure 8 load driver that replays the paper's workloads from many
+//! client threads lives in `xmlpub-net`, which can reach both sessions
+//! and sockets.
 //!
 //! Everything here is safe to share because the engine layers are
 //! `Send + Sync` by construction (no interior mutability below the
@@ -28,7 +29,6 @@
 
 pub mod cache;
 pub mod incremental;
-pub mod loadgen;
 pub mod pool;
 pub mod session;
 pub mod slowlog;
@@ -40,7 +40,6 @@ use xmlpub::{Config, Database, MetricsHandle};
 
 pub use cache::{cache_key, normalize_sql, CacheCounters, CachedPlan, PlanCache};
 pub use incremental::{segment_rows, splice, RepublishOutcome, Segment, SegmentedDoc};
-pub use loadgen::{run_fig8_load, ChurnSource, LoadOptions, LoadReport, QueryStats};
 pub use pool::{PoolCounters, SHED_MSG};
 pub use session::{PublishedDoc, Session, DEFAULT_REPUBLISH_DIRTY_THRESHOLD};
 pub use slowlog::{SlowQuery, SlowQueryLog};
